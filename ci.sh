@@ -145,8 +145,9 @@ timeout 600 cargo test -q -p rna-runtime proto
 # Scalar-reference parity: the whole tensor suite again with SIMD dispatch
 # forced off, so the portable fallback path (what non-AVX2 hosts run) gets
 # the same debug_assert! coverage as the vector path.
-echo "==> tensor tests with forced-scalar dispatch (debug)"
+echo "==> tensor + bulk-draw tests with forced-scalar dispatch (debug)"
 RNA_FORCE_SCALAR=1 timeout 600 cargo test -q -p rna-tensor
+RNA_FORCE_SCALAR=1 timeout 600 cargo test -q -p rna-simnet bulk
 
 # Zero-alloc guarantee: the debug-only allocation counter must show that
 # warm pooled rounds allocate nothing (vacuous in release, so run debug).
@@ -162,5 +163,11 @@ timeout 600 cargo test -q -p rna-core --test pooling
 echo "==> worker encode zero-alloc assert (debug, int8 wire)"
 RNA_HOP_CODEC=int8 timeout 600 cargo test -q -p rna-runtime \
   --test process_world compressed_hop_smoke
+
+# The repository benchmark is a package of its own (perfbench/, outside the
+# workspace): build it and run its unit tests, so a library API change that
+# breaks the benchmark fails CI.
+echo "==> perfbench build + unit tests"
+timeout 900 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> CI green"

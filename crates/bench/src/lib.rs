@@ -47,7 +47,7 @@ pub fn json_header(schema: &str) -> String {
         .map(|(name, _)| format!("\"{name}\""))
         .collect::<Vec<_>>()
         .join(", ");
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let threads = rna_tensor::available_cores();
     format!(
         "  \"schema\": \"{schema}\",\n  \"commit\": \"{}\",\n  \"cpu_features\": [{features}],\n  \"threads\": {threads},",
         git_commit()

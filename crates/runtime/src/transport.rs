@@ -691,14 +691,13 @@ fn controller_loop<T: Transport + ?Sized>(
                     continue;
                 }
                 let residual = residuals[w].get_or_insert_with(|| Tensor::zeros(g.len()));
-                let mut draw = || codec_rng.uniform_u64(0..1 << 32) as u32;
                 let threads = codec::wire_threads(g.len());
                 let (frame, err) = codec::encode_with_feedback_mt(
                     wire_codec,
                     g,
                     residual,
                     &mut codec_buf,
-                    &mut draw,
+                    codec_rng,
                     threads,
                 );
                 ck.data.bytes_on_wire += frame;
@@ -939,18 +938,17 @@ pub(crate) fn reduce_contributions_into(
     contributions: &[Option<Tensor>],
     m: f32,
 ) {
-    let threads = parallelism_for(out.len());
+    let threads = rna_tensor::available_cores()
+        .min(out.len() / PAR_MIN_ELEMS_PER_THREAD)
+        .max(1);
     reduce_contributions_with(out, contributions, m, threads);
 }
 
 /// Minimum elements each reduction thread must own before fan-out pays for
-/// itself; below this the scoped-thread setup dwarfs the arithmetic.
-const PAR_MIN_ELEMS_PER_THREAD: usize = 4096;
-
-fn parallelism_for(len: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    cores.min(len / PAR_MIN_ELEMS_PER_THREAD).max(1)
-}
+/// itself; below this the scoped-thread setup dwarfs the arithmetic. Set
+/// from measurement (DESIGN.md, "SIMD data path"): on a 2-vCPU host the
+/// 2-thread reduce first wins between 512 Ki and 1 Mi elements.
+const PAR_MIN_ELEMS_PER_THREAD: usize = 1 << 19;
 
 /// [`reduce_contributions_into`] with an explicit thread count (tests force
 /// the parallel path on small tensors to prove it matches the sequential

@@ -96,14 +96,12 @@ impl WireEncoder {
         let allocs = rna_tensor::alloc::count();
         let threads = codec::wire_threads(grad.len());
         let out = self.batch.begin_entry(iter);
-        let rng = &mut self.rng;
-        let mut draw = || rng.uniform_u64(0..1 << 32) as u32;
         let (_, err) = codec::encode_with_feedback_append(
             self.codec,
             grad,
             &mut self.residual,
             out,
-            &mut draw,
+            &mut self.rng,
             threads,
         );
         self.batch.finish_entry(err);

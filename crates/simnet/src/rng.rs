@@ -1,3 +1,5 @@
+use rna_tensor::simd;
+
 /// A seeded, forkable random number generator.
 ///
 /// Every stochastic element of the reproduction (batch sampling, delay
@@ -64,20 +66,6 @@ pub struct SimRngState {
     pub gauss_spare: Option<f64>,
 }
 
-const CHACHA_CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
-
-#[inline]
-fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(16);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(12);
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(8);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(7);
-}
-
 impl ChaCha8 {
     /// Expands a 64-bit seed into a 256-bit key via SplitMix64, the
     /// standard seed-stretching construction.
@@ -102,28 +90,7 @@ impl ChaCha8 {
     }
 
     fn refill(&mut self) {
-        let mut state = [0u32; 16];
-        state[..4].copy_from_slice(&CHACHA_CONSTANTS);
-        state[4..12].copy_from_slice(&self.key);
-        state[12] = self.counter as u32;
-        state[13] = (self.counter >> 32) as u32;
-        state[14] = 0;
-        state[15] = 0;
-        let mut working = state;
-        for _ in 0..4 {
-            // One double round: column round + diagonal round.
-            quarter_round(&mut working, 0, 4, 8, 12);
-            quarter_round(&mut working, 1, 5, 9, 13);
-            quarter_round(&mut working, 2, 6, 10, 14);
-            quarter_round(&mut working, 3, 7, 11, 15);
-            quarter_round(&mut working, 0, 5, 10, 15);
-            quarter_round(&mut working, 1, 6, 11, 12);
-            quarter_round(&mut working, 2, 7, 8, 13);
-            quarter_round(&mut working, 3, 4, 9, 14);
-        }
-        for i in 0..16 {
-            self.buf[i] = working[i].wrapping_add(state[i]);
-        }
+        self.buf = simd::chacha8_block(&self.key, self.counter);
         self.counter = self.counter.wrapping_add(1);
         self.next_word = 0;
     }
@@ -222,6 +189,45 @@ impl SimRng {
     pub fn uniform_u64(&mut self, range: std::ops::Range<u64>) -> u64 {
         assert!(range.start < range.end, "cannot sample an empty range");
         range.start + self.below(range.end - range.start)
+    }
+
+    /// Fills `out` with uniform `u32` draws: exactly the values
+    /// `uniform_u64(0..1 << 32) as u32` would return one call at a time,
+    /// leaving the stream at the same position.
+    ///
+    /// Whole ChaCha blocks between the partially consumed current block and
+    /// the tail are generated in bulk ([`simd::chacha8_blocks`], eight
+    /// blocks per AVX2 pass); each block yields eight draws, the high words
+    /// of its eight 64-bit outputs.
+    pub fn fill_uniform_u32(&mut self, out: &mut [u32]) {
+        /// Blocks generated per bulk call (4 KiB on the stack).
+        const BULK_BLOCKS: usize = 64;
+        let c = &mut self.inner;
+        let draw = |c: &mut ChaCha8| (c.next_u64() >> 32) as u32;
+        // Finish the current block. An odd word offset (only a hand-built
+        // snapshot has one) never lands on a block boundary, so such a
+        // stream stays on this per-draw path for the whole fill.
+        let mut i = 0;
+        while i < out.len() && c.next_word < 16 {
+            out[i] = draw(c);
+            i += 1;
+        }
+        let whole = (out.len() - i) / 8;
+        let (bulk, tail) = out[i..].split_at_mut(8 * whole);
+        let mut blocks = [[0u32; 16]; BULK_BLOCKS];
+        for run in bulk.chunks_mut(8 * BULK_BLOCKS) {
+            let blocks = &mut blocks[..run.len() / 8];
+            simd::chacha8_blocks(&c.key, c.counter, blocks);
+            c.counter = c.counter.wrapping_add(blocks.len() as u64);
+            for (o, b) in run.chunks_exact_mut(8).zip(blocks.iter()) {
+                for (w, hi) in o.iter_mut().zip(b.iter().skip(1).step_by(2)) {
+                    *w = *hi;
+                }
+            }
+        }
+        for o in tail {
+            *o = draw(c);
+        }
     }
 
     /// Uniform `usize` in `range` (half-open).
@@ -351,6 +357,13 @@ impl SimRng {
     }
 }
 
+/// The codec's stochastic-rounding draws come from the bulk ChaCha path.
+impl rna_tensor::codec::DrawSource for SimRng {
+    fn fill_draws(&mut self, out: &mut [u32]) {
+        self.fill_uniform_u32(out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,6 +401,23 @@ mod tests {
         let mut c3 = ChaCha8::seed_from_u64(0);
         let words: Vec<u32> = (0..32).map(|_| c3.next_u32()).collect();
         assert_ne!(&words[..16], &words[16..]);
+        // Seed 0's first eight u32 draws, pinned so the keystream cannot
+        // drift when the block function moves or gains a vector path.
+        let mut r = SimRng::seed(0);
+        let draws: Vec<u32> = (0..8).map(|_| r.uniform_u64(0..1 << 32) as u32).collect();
+        assert_eq!(
+            draws,
+            [
+                0xbf94_d133,
+                0x3a73_8775,
+                0x3d46_ff10,
+                0x17c6_ab23,
+                0x5ce2_479b,
+                0x0ae8_099f,
+                0x5f2f_09fd,
+                0x95d5_3efa
+            ]
+        );
     }
 
     #[test]
@@ -521,6 +551,153 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..20).collect::<Vec<_>>());
+    }
+
+    /// Per-draw reference for [`SimRng::fill_uniform_u32`].
+    fn per_draw(rng: &mut SimRng, len: usize) -> Vec<u32> {
+        (0..len)
+            .map(|_| rng.uniform_u64(0..1 << 32) as u32)
+            .collect()
+    }
+
+    /// Asserts that a bulk fill from `start` yields the per-draw words and
+    /// leaves the stream where the per-draw calls leave it.
+    fn assert_bulk_matches(start: &SimRngState, len: usize, what: &str) {
+        let mut bulk = SimRng::from_state(start);
+        let mut reference = SimRng::from_state(start);
+        let mut got = vec![0u32; len];
+        bulk.fill_uniform_u32(&mut got);
+        assert_eq!(got, per_draw(&mut reference, len), "{what} len={len}");
+        assert_eq!(
+            bulk.state(),
+            reference.state(),
+            "{what} len={len}: position"
+        );
+    }
+
+    /// Lengths 0..=17, around one 8-block group, and across the 64-block
+    /// bulk buffer.
+    fn bulk_lengths() -> impl Iterator<Item = usize> {
+        (0..=17).chain([63, 64, 65, 127, 129, 511, 512, 513, 1031])
+    }
+
+    fn bulk_cases() {
+        for seed in [0u64, 3, 99] {
+            // Fresh, mid-block (even word offsets) and exhausted-block starts.
+            for consumed in 0..20 {
+                let mut rng = SimRng::seed(seed);
+                per_draw(&mut rng, consumed);
+                let start = rng.state();
+                for len in bulk_lengths() {
+                    assert_bulk_matches(&start, len, &format!("seed={seed} consumed={consumed}"));
+                }
+            }
+        }
+        // A hand-built odd word offset: draws straddle blocks.
+        let mut odd = SimRng::seed(5).state();
+        odd.counter = 1;
+        odd.next_word = 13;
+        for len in bulk_lengths() {
+            assert_bulk_matches(&odd, len, "odd offset");
+        }
+        // Block counters crossing 2³² and wrapping 2⁶⁴ inside one
+        // eight-block group.
+        for counter in [(1u64 << 32) - 3, u64::MAX - 2] {
+            let mut state = SimRng::seed(8).state();
+            state.counter = counter;
+            for len in bulk_lengths() {
+                assert_bulk_matches(&state, len, &format!("counter={counter:#x}"));
+            }
+        }
+    }
+
+    /// Serializes the tests that depend on the process-global SIMD
+    /// dispatch mode, so forcing the scalar path in one cannot silently
+    /// downgrade another running in parallel.
+    static DISPATCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Takes the dispatch lock; a failed test poisons it, but it guards no
+    /// data, so the others still run.
+    fn dispatch_lock() -> std::sync::MutexGuard<'static, ()> {
+        DISPATCH
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    #[test]
+    fn bulk_fill_matches_per_draw_draws() {
+        let _mode = dispatch_lock();
+        bulk_cases();
+    }
+
+    #[test]
+    fn bulk_fill_matches_per_draw_draws_on_forced_scalar() {
+        let _mode = dispatch_lock();
+        let was = simd::forced_scalar();
+        simd::set_forced_scalar(true);
+        bulk_cases();
+        simd::set_forced_scalar(was);
+    }
+
+    /// Codec inputs: a wide gradient crossing the encoder's draw buffer,
+    /// a lane-remainder length, all zeros (int8 scale 0) and all-integer
+    /// quanta (int8 needs no draw).
+    fn codec_inputs() -> Vec<Vec<f32>> {
+        let mut rng = SimRng::seed(12);
+        let wide: Vec<f32> = (0..5003).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+        let odd: Vec<f32> = (0..13).map(|_| rng.normal(0.0, 1e-3) as f32).collect();
+        let integers: Vec<f32> = (0..40).map(|i| (i % 255) as f32 - 127.0).collect();
+        vec![wide, odd, vec![0.0; 21], integers]
+    }
+
+    #[test]
+    fn bulk_codec_draws_match_the_closure_path() {
+        use rna_tensor::codec::{self, Compression};
+        let _mode = dispatch_lock();
+        use rna_tensor::Tensor;
+        let codecs = [
+            Compression::Lossless,
+            Compression::Fp16,
+            Compression::Int8,
+            Compression::TopK { permille: 100 },
+        ];
+        for codec in codecs {
+            for xs in codec_inputs() {
+                let mut bulk_rng = SimRng::seed(4);
+                let mut draw_rng = SimRng::seed(4);
+                let mut bulk_res = Tensor::zeros(xs.len());
+                let mut draw_res = Tensor::zeros(xs.len());
+                let (mut bulk_frame, mut draw_frame) = (Vec::new(), vec![7u8]);
+                // Two rounds, so the second encodes a nonzero residual.
+                for _ in 0..2 {
+                    let mut bulk_grad = Tensor::from_vec(xs.clone());
+                    let mut draw_grad = Tensor::from_vec(xs.clone());
+                    codec::encode_with_feedback(
+                        codec,
+                        &mut bulk_grad,
+                        &mut bulk_res,
+                        &mut bulk_frame,
+                        &mut bulk_rng,
+                    );
+                    draw_frame.truncate(1);
+                    codec::encode_with_feedback_append(
+                        codec,
+                        &mut draw_grad,
+                        &mut draw_res,
+                        &mut draw_frame,
+                        &mut || draw_rng.uniform_u64(0..1 << 32) as u32,
+                        1,
+                    );
+                    let what = format!("{} len={}", codec.name(), xs.len());
+                    assert_eq!(bulk_frame, draw_frame[1..], "{what}: frame");
+                    let bits =
+                        |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&bulk_grad), bits(&draw_grad), "{what}: wire");
+                    assert_eq!(bits(&bulk_res), bits(&draw_res), "{what}: residual");
+                    assert_eq!(bulk_rng.state(), draw_rng.state(), "{what}: rng position");
+                }
+            }
+        }
     }
 
     proptest! {

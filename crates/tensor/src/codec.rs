@@ -124,6 +124,26 @@ impl std::error::Error for CodecError {}
 /// parameter, `u64` element count.
 pub const FRAME_HEADER_BYTES: u64 = 16;
 
+/// A stream of uniform `u32` draws for stochastic rounding.
+///
+/// Every `FnMut() -> u32` closure is a source (one call per draw); a
+/// generator with a bulk path — the simulator's ChaCha `SimRng` — fills a
+/// whole slice at once. Either way the encoder sees the same words in the
+/// same order, so frames do not depend on which kind of source produced
+/// them.
+pub trait DrawSource {
+    /// Writes the next `out.len()` draws of the stream into `out`, in order.
+    fn fill_draws(&mut self, out: &mut [u32]);
+}
+
+impl<F: FnMut() -> u32> DrawSource for F {
+    fn fill_draws(&mut self, out: &mut [u32]) {
+        for o in out {
+            *o = self();
+        }
+    }
+}
+
 /// The gradient wire codec selected for a run.
 ///
 /// `Lossless` is the default and is bit-identical (in values, bytes and
@@ -279,7 +299,7 @@ impl Compression {
     ///
     /// `draw` supplies uniform `u32` draws for stochastic rounding; codecs
     /// that do not round stochastically never call it.
-    pub fn encode_slice(&self, xs: &[f32], out: &mut Vec<u8>, draw: &mut impl FnMut() -> u32) {
+    pub fn encode_slice(&self, xs: &[f32], out: &mut Vec<u8>, draw: &mut impl DrawSource) {
         out.clear();
         self.encode_slice_append(xs, out, draw);
     }
@@ -289,12 +309,7 @@ impl Compression {
     /// point — a caller that has already written a transport header into
     /// `out` gets the codec payload laid down directly behind it, with no
     /// intermediate frame buffer or copy.
-    pub fn encode_slice_append(
-        &self,
-        xs: &[f32],
-        out: &mut Vec<u8>,
-        draw: &mut impl FnMut() -> u32,
-    ) {
+    pub fn encode_slice_append(&self, xs: &[f32], out: &mut Vec<u8>, draw: &mut impl DrawSource) {
         let frame_start = out.len();
         wire::put_u32(out, self.tag());
         wire::put_u32(out, self.param());
@@ -314,7 +329,7 @@ impl Compression {
                 wire::put_f32(out, scale);
                 let start = out.len();
                 out.resize(start + xs.len(), 0);
-                simd::int8_quantize(xs, scale, &mut out[start..], draw);
+                quantize_int8(xs, scale, &mut out[start..], draw);
             }
             Compression::TopK { .. } => {
                 let k = self.keep_count(xs.len());
@@ -433,7 +448,7 @@ impl Compression {
     }
 
     /// [`Compression::encode_slice`] over a whole tensor.
-    pub fn encode(&self, t: &Tensor, out: &mut Vec<u8>, draw: &mut impl FnMut() -> u32) {
+    pub fn encode(&self, t: &Tensor, out: &mut Vec<u8>, draw: &mut impl DrawSource) {
         self.encode_slice(t.as_slice(), out, draw);
     }
 
@@ -474,7 +489,7 @@ pub fn encode_with_feedback(
     grad: &mut Tensor,
     residual: &mut Tensor,
     scratch: &mut Vec<u8>,
-    draw: &mut impl FnMut() -> u32,
+    draw: &mut impl DrawSource,
 ) -> (u64, f64) {
     assert_eq!(
         residual.len(),
@@ -494,35 +509,63 @@ pub fn encode_with_feedback(
 /// Minimum elements each wire-codec thread must own before chunk-parallel
 /// encode/decode pays for itself; [`wire_threads`] caps fan-out so no
 /// thread gets less. Below one thread's worth the serial path runs.
-pub const PAR_MIN_ELEMS: usize = 1 << 15;
+///
+/// Set from measurement (DESIGN.md, "SIMD data path"): spawning the scoped
+/// threads costs 40–120 µs per call on a 2-vCPU host, so fan-out first
+/// beats the serial kernels between 1 Mi and 4 Mi elements.
+pub const PAR_MIN_ELEMS: usize = 1 << 20;
 
 /// Thread count the chunk-parallel wire path should use for `elems`
 /// elements on this host: one per available core, capped so every thread
 /// owns at least [`PAR_MIN_ELEMS`] elements. Always at least 1 (and exactly
 /// 1 on single-core hosts, where fan-out can only lose).
 pub fn wire_threads(elems: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    cores.min(elems / PAR_MIN_ELEMS).max(1)
+    crate::available_cores().min(elems / PAR_MIN_ELEMS).max(1)
+}
+
+/// Elements per chunk of the int8 encoder: its quotient and draw buffers
+/// (32 KiB together) live on the stack, so the encoder never touches the
+/// heap.
+const INT8_CHUNK: usize = 4096;
+
+/// Quantizes `xs` under `scale` into `out` with stochastic rounding, chunk
+/// by chunk: the vector divide counts the quotients with a fractional part,
+/// that count sizes the chunk's draw slice, `draw` fills it in one call (a
+/// bulk ChaCha fill for `SimRng`), and the rounding pass consumes it — the
+/// same draws, in the same order, as a draw per element.
+fn quantize_int8(xs: &[f32], scale: f32, out: &mut [u8], draw: &mut impl DrawSource) {
+    if scale == 0.0 {
+        // An all-zero tensor: the payload is zeros and nothing is rounded.
+        out.fill(0);
+        return;
+    }
+    let mut quotients = [0.0f32; INT8_CHUNK];
+    let mut draws = [0u32; INT8_CHUNK];
+    for (xc, oc) in xs.chunks(INT8_CHUNK).zip(out.chunks_mut(INT8_CHUNK)) {
+        let v = &mut quotients[..xc.len()];
+        let draws = &mut draws[..simd::int8_quotients(xc, scale, v)];
+        draw.fill_draws(draws);
+        simd::int8_round(v, oc, draws);
+    }
 }
 
 impl Compression {
-    /// Chunk-parallel [`Compression::encode_slice`]: the payload is split
-    /// on element boundaries across `threads` scoped threads (the idiom the
-    /// threaded controller uses for its reduce region).
+    /// Chunk-parallel [`Compression::encode_slice`]: the fp16 payload is
+    /// split on element boundaries across `threads` scoped threads (the
+    /// idiom the threaded controller uses for its reduce region).
     ///
-    /// Bit-identical to the serial path for every thread count: lossless
-    /// and fp16 lanes are independent, and int8 runs two-phase — the
-    /// divide/floor arithmetic fans out (every operation is IEEE-exact, so
-    /// chunking cannot change a value) while the stochastic-rounding draws
-    /// are consumed serially in element order, exactly as
-    /// [`quantize_i8_sr`] consumes them. Top-k is dominated by threshold
-    /// selection and stays serial. Callers pick `threads` with
-    /// [`wire_threads`]; passing `threads <= 1` is the serial path.
+    /// Bit-identical to the serial path for every thread count: fp16 lanes
+    /// are independent. The other codecs always encode serially: lossless
+    /// is a memcpy that fan-out never beat (measured up to 16 Mi
+    /// elements), int8 consumes its stochastic-rounding draws in element
+    /// order, and top-k is dominated by threshold selection. Callers pick
+    /// `threads` with [`wire_threads`]; passing `threads <= 1` is the
+    /// serial path.
     pub fn encode_slice_mt(
         &self,
         xs: &[f32],
         out: &mut Vec<u8>,
-        draw: &mut impl FnMut() -> u32,
+        draw: &mut impl DrawSource,
         threads: usize,
     ) {
         out.clear();
@@ -537,10 +580,10 @@ impl Compression {
         &self,
         xs: &[f32],
         out: &mut Vec<u8>,
-        draw: &mut impl FnMut() -> u32,
+        draw: &mut impl DrawSource,
         threads: usize,
     ) {
-        if threads <= 1 || xs.is_empty() || matches!(self, Compression::TopK { .. }) {
+        if threads <= 1 || xs.is_empty() || !matches!(self, Compression::Fp16) {
             return self.encode_slice_append(xs, out, draw);
         }
         let frame_start = out.len();
@@ -548,89 +591,14 @@ impl Compression {
         wire::put_u32(out, self.param());
         wire::put_u64(out, xs.len() as u64);
         let chunk = xs.len().div_ceil(threads);
-        match self {
-            Compression::Lossless => {
-                let start = out.len();
-                out.resize(start + 4 * xs.len(), 0);
-                let payload = &mut out[start..];
-                std::thread::scope(|s| {
-                    for (xc, oc) in xs.chunks(chunk).zip(payload.chunks_mut(4 * chunk)) {
-                        s.spawn(move || simd::f32s_to_le_bytes_into(xc, oc));
-                    }
-                });
+        let start = out.len();
+        out.resize(start + 2 * xs.len(), 0);
+        let payload = &mut out[start..];
+        std::thread::scope(|s| {
+            for (xc, oc) in xs.chunks(chunk).zip(payload.chunks_mut(2 * chunk)) {
+                s.spawn(move || simd::fp16_encode(xc, oc));
             }
-            Compression::Fp16 => {
-                let start = out.len();
-                out.resize(start + 2 * xs.len(), 0);
-                let payload = &mut out[start..];
-                std::thread::scope(|s| {
-                    for (xc, oc) in xs.chunks(chunk).zip(payload.chunks_mut(2 * chunk)) {
-                        s.spawn(move || simd::fp16_encode(xc, oc));
-                    }
-                });
-            }
-            Compression::Int8 => {
-                // Chunked max folds to the serial answer: f32 max is
-                // associative and commutative on finite inputs.
-                let maxes: Vec<f32> = std::thread::scope(|s| {
-                    let handles: Vec<_> = xs
-                        .chunks(chunk)
-                        .map(|xc| s.spawn(move || simd::abs_max(xc)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("abs_max worker panicked"))
-                        .collect()
-                });
-                let max_abs = maxes.into_iter().fold(0.0f32, f32::max);
-                let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 0.0 };
-                wire::put_f32(out, scale);
-                let start = out.len();
-                out.resize(start + xs.len(), 0);
-                if scale != 0.0 {
-                    // Phase 1 (parallel): per-element divide/floor. IEEE
-                    // division, floor, and subtraction are exact functions
-                    // of their operands, so the (lo, frac) pairs cannot
-                    // depend on the chunking.
-                    let mut lo = vec![0i32; xs.len()];
-                    let mut frac = vec![0.0f32; xs.len()];
-                    std::thread::scope(|s| {
-                        for ((xc, lc), fc) in xs
-                            .chunks(chunk)
-                            .zip(lo.chunks_mut(chunk))
-                            .zip(frac.chunks_mut(chunk))
-                        {
-                            s.spawn(move || {
-                                for ((&x, l), f) in xc.iter().zip(lc.iter_mut()).zip(fc.iter_mut())
-                                {
-                                    let v = x / scale;
-                                    let fl = v.floor();
-                                    *l = fl as i32;
-                                    *f = v - fl;
-                                }
-                            });
-                        }
-                    });
-                    // Phase 2 (serial): the draw stream advances in element
-                    // order — the invariant that keeps same-seed replays
-                    // bit-identical across serial, SIMD, and parallel paths.
-                    let payload = &mut out[start..];
-                    for ((&l, &f), o) in lo.iter().zip(&frac).zip(payload.iter_mut()) {
-                        let mut q = l;
-                        if f > 0.0 {
-                            let u = (draw() >> 8) as f32 / (1u32 << 24) as f32;
-                            if u < f {
-                                q += 1;
-                            }
-                        }
-                        *o = q.clamp(-127, 127) as u8;
-                    }
-                }
-                // scale == 0.0: all-zero payload, and the scalar reference
-                // draws nothing either.
-            }
-            Compression::TopK { .. } => unreachable!("top-k handled serially above"),
-        }
+        });
         debug_assert_eq!((out.len() - frame_start) as u64, self.frame_bytes(xs.len()));
     }
 
@@ -712,7 +680,7 @@ pub fn encode_with_feedback_mt(
     grad: &mut Tensor,
     residual: &mut Tensor,
     scratch: &mut Vec<u8>,
-    draw: &mut impl FnMut() -> u32,
+    draw: &mut impl DrawSource,
     threads: usize,
 ) -> (u64, f64) {
     assert_eq!(
@@ -750,7 +718,7 @@ pub fn encode_with_feedback_append(
     grad: &mut Tensor,
     residual: &mut Tensor,
     out: &mut Vec<u8>,
-    draw: &mut impl FnMut() -> u32,
+    draw: &mut impl DrawSource,
     threads: usize,
 ) -> (u64, f64) {
     assert_eq!(
@@ -844,18 +812,14 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// Quantizes `x` to a signed byte under `scale` with stochastic rounding:
-/// `E[result·scale] = x` for in-range finite inputs.
+/// Rounds the int8 quotient `v = x / scale` to a signed byte with
+/// stochastic rounding — `E[result] = v` for in-range finite inputs — taking
+/// one draw exactly when `v` has a strictly positive fractional part.
 ///
 /// This is the portable per-element reference; [`crate::simd`] batches the
-/// surrounding arithmetic but routes every draw through the identical
-/// `frac > 0` condition in element order, so both paths consume the same
-/// stream.
-pub(crate) fn quantize_i8_sr(x: f32, scale: f32, draw: &mut impl FnMut() -> u32) -> i8 {
-    if scale == 0.0 {
-        return 0;
-    }
-    let v = x / scale; // in [-127, 127] up to rounding of the division
+/// arithmetic but routes every draw through the identical `frac > 0`
+/// condition in element order, so both paths consume the same stream.
+pub(crate) fn round_i8_sr(v: f32, draw: &mut impl FnMut() -> u32) -> i8 {
     let lo = v.floor();
     let frac = v - lo;
     let mut q = lo as i32;

@@ -59,3 +59,12 @@ pub use codec::Compression;
 pub use pool::TensorPool;
 pub use reduce::ReduceOp;
 pub use tensor::Tensor;
+
+/// Cores available to this process (`std::thread::available_parallelism`,
+/// 1 if unknown), read once and cached: the query reads cgroup files on
+/// Linux, too slow to repeat per gradient, frame and reduce.
+pub fn available_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}

@@ -23,7 +23,7 @@
 // runtime feature detection, and byte-view casts over `f32` slices.
 #![allow(unsafe_code)]
 
-use crate::codec::{f16_bits_to_f32, f32_to_f16_bits, quantize_i8_sr};
+use crate::codec::{f16_bits_to_f32, f32_to_f16_bits, round_i8_sr};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Dispatch mode: 0 = undecided, 1 = auto (use SIMD when detected),
@@ -164,43 +164,70 @@ pub fn abs_max_scalar(xs: &[f32]) -> f32 {
     xs.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
 }
 
-/// Quantizes `xs` under `scale` with stochastic rounding into `out`
-/// (`out.len() == xs.len()`, one `i8` stored as `u8` per element).
-///
-/// `draw` is consumed **exactly** as the scalar reference consumes it: one
-/// uniform `u32` per element whose fractional part is strictly positive,
-/// in element order — so the ChaCha codec stream advances identically on
-/// both paths and same-seed replays stay bit-identical. The vector path
-/// batches the surrounding arithmetic (divide, floor, compare, clamp)
-/// eight lanes at a time and harvests the draws per block.
+/// Divides `xs` by `scale` into `quotients` — the values the int8 codec
+/// rounds, bit-identical to the scalar `x / scale` — and returns how many
+/// have a strictly positive fractional part: the number of draws
+/// [`int8_round`] consumes for them. The count sizes the draw slice before
+/// rounding starts, so any draw source can be buffered.
 ///
 /// # Panics
 ///
-/// Panics if `out.len() != xs.len()`.
-pub fn int8_quantize(xs: &[f32], scale: f32, out: &mut [u8], draw: &mut impl FnMut() -> u32) {
-    assert_eq!(out.len(), xs.len(), "int8 output length mismatch");
-    if scale == 0.0 {
-        out.fill(0);
-        return;
-    }
+/// Panics if `quotients.len() != xs.len()`.
+pub fn int8_quotients(xs: &[f32], scale: f32, quotients: &mut [f32]) -> usize {
+    assert_eq!(quotients.len(), xs.len(), "int8 quotient length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active() {
         // SAFETY: `active()` verified AVX2 support at runtime.
-        unsafe { avx2::int8_quantize(xs, scale, out, draw) };
-        return;
+        return unsafe { avx2::int8_quotients(xs, scale, quotients) };
     }
-    int8_quantize_scalar(xs, scale, out, draw);
+    int8_quotients_scalar(xs, scale, quotients)
 }
 
-/// The portable reference for [`int8_quantize`].
-pub fn int8_quantize_scalar(
-    xs: &[f32],
-    scale: f32,
-    out: &mut [u8],
-    draw: &mut impl FnMut() -> u32,
-) {
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = quantize_i8_sr(x, scale, draw) as u8;
+/// The portable reference for [`int8_quotients`].
+pub fn int8_quotients_scalar(xs: &[f32], scale: f32, quotients: &mut [f32]) -> usize {
+    let mut need = 0;
+    for (v, &x) in quotients.iter_mut().zip(xs) {
+        *v = x / scale;
+        need += usize::from(*v - v.floor() > 0.0);
+    }
+    need
+}
+
+/// Rounds int8 `quotients` to signed bytes (stored as `u8`) with
+/// stochastic rounding, clamped to ±127.
+///
+/// `draws` holds the uniform `u32`s, one per quotient whose fractional part
+/// is strictly positive, consumed in element order — the order in which
+/// the per-element reference pulls them from a stream, so a buffered draw
+/// slice and a draw-at-a-time stream produce the same bytes. The vector
+/// path rounds eight lanes at a time and, for a block whose eight lanes
+/// all need a draw, loads the eight draws as one vector.
+///
+/// # Panics
+///
+/// Panics if `out.len() != quotients.len()` or `draws` is shorter than the
+/// count [`int8_quotients`] returned.
+pub fn int8_round(quotients: &[f32], out: &mut [u8], draws: &[u32]) {
+    assert_eq!(out.len(), quotients.len(), "int8 output length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if active() {
+        // SAFETY: `active()` verified AVX2 support at runtime.
+        unsafe { avx2::int8_round(quotients, out, draws) };
+        return;
+    }
+    int8_round_scalar(quotients, out, draws);
+}
+
+/// The portable reference for [`int8_round`].
+///
+/// # Panics
+///
+/// Panics if `draws` runs out before the last quotient that needs one.
+pub fn int8_round_scalar(quotients: &[f32], out: &mut [u8], draws: &[u32]) {
+    let mut next = draws.iter();
+    for (o, &v) in out.iter_mut().zip(quotients) {
+        let mut draw = || *next.next().expect("int8 draw slice too short");
+        *o = round_i8_sr(v, &mut draw) as u8;
     }
 }
 
@@ -277,6 +304,86 @@ pub fn topk_scan_scalar(
 }
 
 // ---------------------------------------------------------------------------
+// ChaCha8 keystream
+// ---------------------------------------------------------------------------
+
+/// ChaCha block words of one 64-byte block.
+pub type ChaChaBlock = [u32; 16];
+
+const CHACHA_CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+/// The ChaCha input state for block `counter` under `key`: RFC 7539 layout
+/// (constants, 256-bit key, 64-bit block counter, zero 64-bit nonce).
+fn chacha_input(key: &[u32; 8], counter: u64) -> ChaChaBlock {
+    let mut state = [0u32; 16];
+    state[..4].copy_from_slice(&CHACHA_CONSTANTS);
+    state[4..12].copy_from_slice(key);
+    state[12] = counter as u32;
+    state[13] = (counter >> 32) as u32;
+    state
+}
+
+#[inline]
+fn quarter_round(state: &mut ChaChaBlock, a: usize, b: usize, c: usize, d: usize) {
+    state[a] = state[a].wrapping_add(state[b]);
+    state[d] = (state[d] ^ state[a]).rotate_left(16);
+    state[c] = state[c].wrapping_add(state[d]);
+    state[b] = (state[b] ^ state[c]).rotate_left(12);
+    state[a] = state[a].wrapping_add(state[b]);
+    state[d] = (state[d] ^ state[a]).rotate_left(8);
+    state[c] = state[c].wrapping_add(state[d]);
+    state[b] = (state[b] ^ state[c]).rotate_left(7);
+}
+
+/// One ChaCha8 keystream block (8 rounds, as `rand_chacha::ChaCha8Rng`):
+/// the scalar reference for [`chacha8_blocks`].
+pub fn chacha8_block(key: &[u32; 8], counter: u64) -> ChaChaBlock {
+    let input = chacha_input(key, counter);
+    let mut x = input;
+    for _ in 0..4 {
+        // One double round: column round + diagonal round.
+        quarter_round(&mut x, 0, 4, 8, 12);
+        quarter_round(&mut x, 1, 5, 9, 13);
+        quarter_round(&mut x, 2, 6, 10, 14);
+        quarter_round(&mut x, 3, 7, 11, 15);
+        quarter_round(&mut x, 0, 5, 10, 15);
+        quarter_round(&mut x, 1, 6, 11, 12);
+        quarter_round(&mut x, 2, 7, 8, 13);
+        quarter_round(&mut x, 3, 4, 9, 14);
+    }
+    for (w, i) in x.iter_mut().zip(input) {
+        *w = w.wrapping_add(i);
+    }
+    x
+}
+
+/// Fills `out` with consecutive ChaCha8 keystream blocks: `out[i]` is block
+/// `counter + i` (the 64-bit counter wraps), bit-identical to
+/// [`chacha8_block`] per block. The vector path runs eight blocks at once,
+/// one block per lane.
+pub fn chacha8_blocks(key: &[u32; 8], counter: u64, out: &mut [ChaChaBlock]) {
+    #[cfg(target_arch = "x86_64")]
+    if active() {
+        let whole = out.len() / 8 * 8;
+        let (groups, rest) = out.split_at_mut(whole);
+        for (g, group) in groups.chunks_exact_mut(8).enumerate() {
+            // SAFETY: `active()` verified AVX2 support at runtime.
+            unsafe { avx2::chacha8_blocks8(key, counter.wrapping_add(8 * g as u64), group) };
+        }
+        chacha8_blocks_scalar(key, counter.wrapping_add(whole as u64), rest);
+        return;
+    }
+    chacha8_blocks_scalar(key, counter, out);
+}
+
+/// The portable reference for [`chacha8_blocks`].
+pub fn chacha8_blocks_scalar(key: &[u32; 8], counter: u64, out: &mut [ChaChaBlock]) {
+    for (i, block) in out.iter_mut().enumerate() {
+        *block = chacha8_block(key, counter.wrapping_add(i as u64));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // lossless byte views
 // ---------------------------------------------------------------------------
 
@@ -292,26 +399,6 @@ pub fn f32s_to_le_bytes(xs: &[f32], out: &mut Vec<u8>) {
         out.reserve(xs.len() * 4);
         for &x in xs {
             out.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-}
-
-/// Writes the little-endian byte image of `xs` into `out`
-/// (`out.len() == 4 * xs.len()`), for chunk-parallel lossless encode.
-///
-/// # Panics
-///
-/// Panics if `out.len() != 4 * xs.len()`.
-pub fn f32s_to_le_bytes_into(xs: &[f32], out: &mut [u8]) {
-    assert_eq!(out.len(), xs.len() * 4, "lossless output length mismatch");
-    #[cfg(target_endian = "little")]
-    {
-        out.copy_from_slice(raw::f32s_as_bytes(xs));
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        for (o, &x) in out.chunks_exact_mut(4).zip(xs) {
-            o.copy_from_slice(&x.to_le_bytes());
         }
     }
 }
@@ -520,64 +607,216 @@ mod avx2 {
         m
     }
 
-    /// 8-lane stochastic-rounding quantizer. The divide/floor/compare/clamp
-    /// arithmetic is vectorized; draws are harvested per block for exactly
-    /// the lanes whose fractional part is positive, in lane order, so the
-    /// draw stream matches the scalar reference element for element.
+    /// Vector quotients and the count of lanes whose fractional part is
+    /// positive.
     ///
     /// # Safety
     ///
     /// Caller must have verified AVX2 support.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn int8_quantize(
-        xs: &[f32],
-        scale: f32,
-        out: &mut [u8],
-        draw: &mut impl FnMut() -> u32,
-    ) {
+    pub unsafe fn int8_quotients(xs: &[f32], scale: f32, quotients: &mut [f32]) -> usize {
         let n = xs.len();
         let vscale = _mm256_set1_ps(scale);
+        let mut count = 0usize;
+        let mut i = 0;
+        while i + 8 <= n {
+            let v = _mm256_div_ps(_mm256_loadu_ps(xs.as_ptr().add(i)), vscale);
+            _mm256_storeu_ps(quotients[i..i + 8].as_mut_ptr(), v);
+            let frac = _mm256_sub_ps(v, _mm256_floor_ps(v));
+            let need = _mm256_cmp_ps::<_CMP_GT_OQ>(frac, _mm256_setzero_ps());
+            count += (_mm256_movemask_ps(need) as u32).count_ones() as usize;
+            i += 8;
+        }
+        count + super::int8_quotients_scalar(&xs[i..], scale, &mut quotients[i..])
+    }
+
+    /// 8-lane stochastic rounding over a draw slice. A block whose eight
+    /// lanes all need a draw (the common case for a gradient) takes its
+    /// eight draws as one vector load; a partial block places its draws
+    /// lane by lane, in lane order, so the slice is consumed exactly as the
+    /// scalar reference consumes it.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn int8_round(quotients: &[f32], out: &mut [u8], draws: &[u32]) {
+        let n = quotients.len();
         // 2⁻²⁴ as a multiply: exact for 24-bit draws, same result as the
         // scalar division by 2²⁴.
         let inv24 = _mm256_set1_ps(f32::from_bits(0x3380_0000));
-        let mut us = [0.0f32; 8];
-        let mut lanes = [0i32; 8];
+        let mut us = [0u32; 8];
+        let mut k = 0;
         let mut i = 0;
         while i + 8 <= n {
-            let x = _mm256_loadu_ps(xs.as_ptr().add(i));
-            let v = _mm256_div_ps(x, vscale);
+            let v = _mm256_loadu_ps(quotients.as_ptr().add(i));
             let lo = _mm256_floor_ps(v);
             let frac = _mm256_sub_ps(v, lo);
             let mut q = _mm256_cvttps_epi32(lo);
             let need = _mm256_cmp_ps::<_CMP_GT_OQ>(frac, _mm256_setzero_ps());
             let mask = _mm256_movemask_ps(need) as u32 & 0xFF;
             if mask != 0 {
-                if mask == 0xFF {
-                    for u in &mut us {
-                        *u = (draw() >> 8) as f32;
-                    }
+                let raw = if mask == 0xFF {
+                    let block = &draws[k..k + 8];
+                    k += 8;
+                    _mm256_loadu_si256(block.as_ptr().cast::<__m256i>())
                 } else {
                     for (lane, u) in us.iter_mut().enumerate() {
+                        // Lanes without a draw are masked off by `need`.
                         *u = if mask & (1 << lane) != 0 {
-                            (draw() >> 8) as f32
+                            k += 1;
+                            draws[k - 1]
                         } else {
-                            f32::INFINITY
+                            0
                         };
                     }
-                }
-                let uv = _mm256_mul_ps(_mm256_loadu_ps(us.as_ptr()), inv24);
-                let up = _mm256_cmp_ps::<_CMP_LT_OQ>(uv, frac);
+                    _mm256_loadu_si256(us.as_ptr().cast::<__m256i>())
+                };
+                // Draws >> 8 are below 2²⁴: exact as i32 and as f32.
+                let u = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_srli_epi32(raw, 8)), inv24);
+                let up = _mm256_and_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(u, frac), need);
                 q = _mm256_sub_epi32(q, _mm256_castps_si256(up));
             }
             q = _mm256_min_epi32(q, _mm256_set1_epi32(127));
             q = _mm256_max_epi32(q, _mm256_set1_epi32(-127));
-            _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), q);
-            for (lane, &v) in lanes.iter().enumerate() {
-                *out.get_unchecked_mut(i + lane) = v as u8;
-            }
+            // Narrow the clamped i32 lanes to bytes (saturation is a no-op
+            // in ±127): packs work per 128-bit half, leaving lanes 0..4 in
+            // dword 0 and lanes 4..8 in dword 4; gather those two dwords.
+            let words = _mm256_packs_epi32(q, q);
+            let bytes = _mm256_packs_epi16(words, words);
+            let ordered =
+                _mm256_permutevar8x32_epi32(bytes, _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0));
+            let dst = &mut out[i..i + 8];
+            _mm_storel_epi64(
+                dst.as_mut_ptr().cast::<__m128i>(),
+                _mm256_castsi256_si128(ordered),
+            );
             i += 8;
         }
-        super::int8_quantize_scalar(&xs[i..], scale, &mut out[i..], draw);
+        super::int8_round_scalar(&quotients[i..], &mut out[i..], &draws[k..]);
+    }
+
+    /// Rotates each 32-bit lane left by `L` bits (`R` = 32 − `L`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn rotl<const L: i32, const R: i32>(x: __m256i) -> __m256i {
+        _mm256_or_si256(_mm256_slli_epi32::<L>(x), _mm256_srli_epi32::<R>(x))
+    }
+
+    /// One ChaCha quarter round across eight blocks; the 16- and 8-bit
+    /// rotates are byte shuffles by `rot16` and `rot8`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quarter_round(
+        x: &mut [__m256i; 16],
+        (a, b, c, d): (usize, usize, usize, usize),
+        rot16: __m256i,
+        rot8: __m256i,
+    ) {
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = _mm256_shuffle_epi8(_mm256_xor_si256(x[d], x[a]), rot16);
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        x[b] = rotl::<12, 20>(_mm256_xor_si256(x[b], x[c]));
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = _mm256_shuffle_epi8(_mm256_xor_si256(x[d], x[a]), rot8);
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        x[b] = rotl::<7, 25>(_mm256_xor_si256(x[b], x[c]));
+    }
+
+    /// Transposes an 8×8 matrix of `u32`s held as eight row vectors, so
+    /// that `rows[j]` afterwards holds what was column `j`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose8(rows: &mut [__m256i]) {
+        let r = |i: usize| rows[i];
+        let t0 = _mm256_unpacklo_epi32(r(0), r(1));
+        let t1 = _mm256_unpackhi_epi32(r(0), r(1));
+        let t2 = _mm256_unpacklo_epi32(r(2), r(3));
+        let t3 = _mm256_unpackhi_epi32(r(2), r(3));
+        let t4 = _mm256_unpacklo_epi32(r(4), r(5));
+        let t5 = _mm256_unpackhi_epi32(r(4), r(5));
+        let t6 = _mm256_unpacklo_epi32(r(6), r(7));
+        let t7 = _mm256_unpackhi_epi32(r(6), r(7));
+        let u0 = _mm256_unpacklo_epi64(t0, t2);
+        let u1 = _mm256_unpackhi_epi64(t0, t2);
+        let u2 = _mm256_unpacklo_epi64(t1, t3);
+        let u3 = _mm256_unpackhi_epi64(t1, t3);
+        let u4 = _mm256_unpacklo_epi64(t4, t6);
+        let u5 = _mm256_unpackhi_epi64(t4, t6);
+        let u6 = _mm256_unpacklo_epi64(t5, t7);
+        let u7 = _mm256_unpackhi_epi64(t5, t7);
+        rows[0] = _mm256_permute2x128_si256::<0x20>(u0, u4);
+        rows[1] = _mm256_permute2x128_si256::<0x20>(u1, u5);
+        rows[2] = _mm256_permute2x128_si256::<0x20>(u2, u6);
+        rows[3] = _mm256_permute2x128_si256::<0x20>(u3, u7);
+        rows[4] = _mm256_permute2x128_si256::<0x31>(u0, u4);
+        rows[5] = _mm256_permute2x128_si256::<0x31>(u1, u5);
+        rows[6] = _mm256_permute2x128_si256::<0x31>(u2, u6);
+        rows[7] = _mm256_permute2x128_si256::<0x31>(u3, u7);
+    }
+
+    /// Eight consecutive ChaCha8 blocks, `counter .. counter + 8`, one per
+    /// lane: lane `j` of state vector `w` is word `w` of block
+    /// `counter + j`. The low counter word adds the lane index and carries
+    /// into the high word, so a group may straddle a 2³² boundary.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != 8`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn chacha8_blocks8(key: &[u32; 8], counter: u64, out: &mut [super::ChaChaBlock]) {
+        assert_eq!(out.len(), 8, "chacha8 AVX2 group is eight blocks");
+        let input = super::chacha_input(key, counter);
+        let mut init = [_mm256_setzero_si256(); 16];
+        for (v, &w) in init.iter_mut().zip(&input) {
+            *v = _mm256_set1_epi32(w as i32);
+        }
+        let lo = _mm256_add_epi32(init[12], _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        // Unsigned `lo < base` marks the lanes that wrapped: flip the sign
+        // bits so the signed compare orders them as unsigned. The mask is
+        // −1 per carrying lane, so subtracting it adds the carry.
+        let bias = _mm256_set1_epi32(i32::MIN);
+        let carry =
+            _mm256_cmpgt_epi32(_mm256_xor_si256(init[12], bias), _mm256_xor_si256(lo, bias));
+        init[12] = lo;
+        init[13] = _mm256_sub_epi32(init[13], carry);
+
+        let rot16 = _mm256_setr_epi8(
+            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, //
+            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+        );
+        let rot8 = _mm256_setr_epi8(
+            3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14, //
+            3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+        );
+        let mut x = init;
+        for _ in 0..4 {
+            quarter_round(&mut x, (0, 4, 8, 12), rot16, rot8);
+            quarter_round(&mut x, (1, 5, 9, 13), rot16, rot8);
+            quarter_round(&mut x, (2, 6, 10, 14), rot16, rot8);
+            quarter_round(&mut x, (3, 7, 11, 15), rot16, rot8);
+            quarter_round(&mut x, (0, 5, 10, 15), rot16, rot8);
+            quarter_round(&mut x, (1, 6, 11, 12), rot16, rot8);
+            quarter_round(&mut x, (2, 7, 8, 13), rot16, rot8);
+            quarter_round(&mut x, (3, 4, 9, 14), rot16, rot8);
+        }
+        for (v, i) in x.iter_mut().zip(init) {
+            *v = _mm256_add_epi32(*v, i);
+        }
+        // Words 0..8 and 8..16 of the eight blocks are two 8×8 matrices;
+        // transposed, row `j` of each is block `j`'s half.
+        transpose8(&mut x[..8]);
+        transpose8(&mut x[8..]);
+        for (j, block) in out.iter_mut().enumerate() {
+            // A block is sixteen u32s: two unaligned 8-lane stores fill it.
+            let p = block.as_mut_ptr().cast::<__m256i>();
+            _mm256_storeu_si256(p, x[j]);
+            _mm256_storeu_si256(p.add(1), x[8 + j]);
+        }
     }
 
     /// 8-lane dequantizer: `out[i] = bytes[i] as i8 as f32 * scale`.
@@ -693,13 +932,65 @@ mod tests {
         let mut buf = Vec::new();
         f32s_to_le_bytes(&xs, &mut buf);
         assert_eq!(buf.len(), xs.len() * 4);
-        let mut sliced = vec![0u8; xs.len() * 4];
-        f32s_to_le_bytes_into(&xs, &mut sliced);
-        assert_eq!(buf, sliced);
         let mut back = vec![0.0f32; xs.len()];
         le_bytes_to_f32s(&buf, &mut back);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&xs), bits(&back));
+    }
+
+    #[test]
+    fn chacha8_bulk_blocks_match_the_scalar_block() {
+        let key = [0x0123_4567, 0x89ab_cdef, 7, 0, u32::MAX, 42, 0xdead_beef, 1];
+        // Counters crossing 2³² and wrapping 2⁶⁴ inside one 8-block group.
+        for counter in [0u64, 5, (1 << 32) - 3, u64::MAX - 4] {
+            for len in 0..=17 {
+                let mut bulk = vec![[0u32; 16]; len];
+                chacha8_blocks(&key, counter, &mut bulk);
+                for (i, block) in bulk.iter().enumerate() {
+                    let expected = chacha8_block(&key, counter.wrapping_add(i as u64));
+                    assert_eq!(*block, expected, "counter={counter:#x} len={len} block={i}");
+                }
+            }
+        }
+    }
+
+    /// Inputs whose int8 blocks mix lanes that need a draw with exact
+    /// quanta (zeros and multiples of the scale) that do not.
+    fn partial_draw_inputs(len: usize) -> (Vec<f32>, f32) {
+        let scale = 0.5f32;
+        let xs = pseudo(len, 3)
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| match i % 5 {
+                0 => 0.0,
+                3 => (i % 9) as f32 * scale,
+                _ => x / 2.0,
+            })
+            .collect();
+        (xs, scale)
+    }
+
+    #[test]
+    fn int8_slice_rounding_matches_the_scalar_reference() {
+        for len in 0..=41 {
+            let (xs, scale) = partial_draw_inputs(len);
+            let mut v = vec![0.0f32; len];
+            let mut v_ref = vec![0.0f32; len];
+            let need = int8_quotients(&xs, scale, &mut v);
+            assert_eq!(
+                need,
+                int8_quotients_scalar(&xs, scale, &mut v_ref),
+                "len={len}"
+            );
+            assert_eq!(v, v_ref, "len={len}: quotients");
+            let mut d = lcg(len as u64);
+            let draws: Vec<u32> = (0..need).map(|_| d()).collect();
+            let mut fast = vec![0u8; len];
+            let mut reference = vec![0u8; len];
+            int8_round(&v, &mut fast, &draws);
+            int8_round_scalar(&v, &mut reference, &draws);
+            assert_eq!(fast, reference, "len={len}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use rna_simnet::SimRng;
 use rna_tensor::Tensor;
 
 use crate::dataset::Batch;
-use crate::loss::{mse_grad, softmax_xent_grad};
+use crate::loss::{cross_entropy, mse_grad, softmax, softmax_xent_grad};
 
 /// A supervised model trained by mini-batch SGD.
 ///
@@ -73,13 +73,23 @@ pub trait Model: Send {
                 return 0.0;
             };
             scored += 1;
-            let mut order: Vec<usize> = (0..scores.len()).collect();
-            order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("NaN score"));
-            if order.iter().take(k).any(|&c| c == ds.label(i)) {
+            if label_in_top_k(&scores, ds.label(i), k) {
                 correct += 1;
             }
         }
         correct as f32 / scored.max(1) as f32
+    }
+
+    /// Evaluation metrics over the batch: `(loss, accuracy, top-5
+    /// accuracy)`, each bit-identical to [`Model::loss`],
+    /// [`Model::accuracy`] and [`Model::top_k_accuracy`]`(batch, 5)`.
+    /// Models that can score each sample once override this with one pass.
+    fn evaluate(&self, batch: &Batch<'_>) -> (f32, f32, f32) {
+        (
+            self.loss(batch),
+            self.accuracy(batch),
+            self.top_k_accuracy(batch, 5),
+        )
     }
 
     /// A boxed deep copy (replica for another worker).
@@ -90,6 +100,28 @@ impl Clone for Box<dyn Model> {
     fn clone(&self) -> Self {
         self.clone_model()
     }
+}
+
+/// Whether `label` is among the first `k` classes of a stable descending
+/// sort of `scores` (ties keep class order).
+///
+/// # Panics
+///
+/// Panics if a score is NaN.
+fn label_in_top_k(scores: &[f32], label: usize, k: usize) -> bool {
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("NaN score"));
+    order.iter().take(k).any(|&c| c == label)
+}
+
+/// Index of the largest score (the last one among equal maxima).
+fn argmax(scores: &[f32]) -> usize {
+    scores
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+        .map(|(c, _)| c)
+        .unwrap()
 }
 
 fn init_params(n: usize, scale: f32, rng: &mut SimRng) -> Tensor {
@@ -135,16 +167,44 @@ impl SoftmaxClassifier {
         }
     }
 
+    /// Per-class scores `W x + b`.
+    ///
+    /// Classes run eight at a time as eight lock-step accumulators (eight
+    /// independent add chains instead of one); each accumulator starts from
+    /// −0.0 and adds its row's products in index order, exactly as
+    /// `Iterator::sum` does, so every logit is bit-identical to the
+    /// one-row-at-a-time sum. The last `classes % 8` rows take that sum.
     fn logits(&self, x: &[f32]) -> Vec<f32> {
-        let p = self.params.as_slice();
-        (0..self.classes)
-            .map(|c| {
-                let row = &p[c * self.dim..(c + 1) * self.dim];
-                let b = p[self.classes * self.dim + c];
-                row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f32>() + b
-            })
-            .collect()
+        let (w, bias) = self.params.as_slice().split_at(self.classes * self.dim);
+        let mut out = Vec::with_capacity(self.classes);
+        let mut groups = w.chunks_exact(8 * self.dim);
+        for group in groups.by_ref() {
+            out.extend(dot8(group, self.dim, x));
+        }
+        for row in groups.remainder().chunks_exact(self.dim) {
+            out.push(row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f32>());
+        }
+        for (l, b) in out.iter_mut().zip(bias) {
+            *l += b;
+        }
+        out
     }
+}
+
+/// Dot products of eight consecutive `dim`-long rows of `group` with `x`,
+/// each summed in index order from −0.0 (`Iterator::sum`'s order), with
+/// the eight sums advancing in lock step.
+fn dot8(group: &[f32], dim: usize, x: &[f32]) -> [f32; 8] {
+    let n = dim.min(x.len());
+    let x = &x[..n];
+    let rows: [&[f32]; 8] = std::array::from_fn(|l| &group[l * dim..l * dim + n]);
+    let mut acc = [-0.0f32; 8];
+    for (d, &xi) in x.iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            *a += row[d] * xi;
+        }
+    }
+    acc
 }
 
 impl Model for SoftmaxClassifier {
@@ -195,22 +255,32 @@ impl Model for SoftmaxClassifier {
         let correct = batch
             .indices()
             .iter()
-            .filter(|&&i| {
-                let logits = self.logits(ds.input(i));
-                let pred = logits
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(c, _)| c)
-                    .unwrap();
-                pred == ds.label(i)
-            })
+            .filter(|&&i| argmax(&self.logits(ds.input(i))) == ds.label(i))
             .count();
         correct as f32 / batch.len() as f32
     }
 
     fn class_scores(&self, batch: &Batch<'_>, i: usize) -> Option<Vec<f32>> {
         Some(self.logits(batch.dataset().input(i)))
+    }
+
+    /// One logits pass per sample feeds all three metrics; the sums and
+    /// divisions are the ones the three separate methods perform.
+    fn evaluate(&self, batch: &Batch<'_>) -> (f32, f32, f32) {
+        if batch.is_empty() {
+            return (0.0, 0.0, 0.0);
+        }
+        let ds = batch.dataset();
+        let (mut total, mut correct, mut top5) = (0.0f32, 0usize, 0usize);
+        for &i in batch.indices() {
+            let logits = self.logits(ds.input(i));
+            let label = ds.label(i);
+            total += cross_entropy(&softmax(&logits), label);
+            correct += usize::from(argmax(&logits) == label);
+            top5 += usize::from(label_in_top_k(&logits, label, 5));
+        }
+        let n = batch.len() as f32;
+        (total / n, correct as f32 / n, top5 as f32 / n)
     }
 
     fn clone_model(&self) -> Box<dyn Model> {
@@ -341,16 +411,7 @@ impl Model for Mlp {
         let correct = batch
             .indices()
             .iter()
-            .filter(|&&i| {
-                let (_, logits) = self.forward(ds.input(i));
-                let pred = logits
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(c, _)| c)
-                    .unwrap();
-                pred == ds.label(i)
-            })
+            .filter(|&&i| argmax(&self.forward(ds.input(i)).1) == ds.label(i))
             .count();
         correct as f32 / batch.len() as f32
     }
@@ -603,16 +664,7 @@ impl Model for ElmanRnn {
         let correct = batch
             .indices()
             .iter()
-            .filter(|&&i| {
-                let (_, logits) = self.forward(ds.input(i), ds.seq_len(i));
-                let pred = logits
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(c, _)| c)
-                    .unwrap();
-                pred == ds.label(i)
-            })
+            .filter(|&&i| argmax(&self.forward(ds.input(i), ds.seq_len(i)).1) == ds.label(i))
             .count();
         correct as f32 / batch.len() as f32
     }
@@ -800,6 +852,64 @@ mod tests {
         assert!(top5 > 0.95, "top5 {top5}");
         // k beyond the class count is trivially 1.
         assert_eq!(m.top_k_accuracy(&batch, 6), 1.0);
+    }
+
+    #[test]
+    fn lockstep_logits_match_the_iterator_sum() {
+        let dim = 11;
+        let mut rng = SimRng::seed(23);
+        // Signed zeros in both factors, so some products (and whole rows'
+        // sums) are −0.0 and the accumulators' −0.0 start shows.
+        let x: Vec<f32> = (0..dim)
+            .map(|d| match d % 4 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => rng.uniform_f64(-1.0..1.0) as f32,
+            })
+            .collect();
+        for classes in 2..=17 {
+            let mut m = SoftmaxClassifier::new(dim, classes, &mut rng);
+            let p: Tensor = (0..m.num_params())
+                .map(|i| match i % 7 {
+                    0 | 3 => -0.0,
+                    5 => 0.0,
+                    _ => rng.uniform_f64(-2.0..2.0) as f32,
+                })
+                .collect();
+            m.set_params(&p);
+            let p = p.as_slice();
+            for (c, logit) in m.logits(&x).iter().enumerate() {
+                let row = &p[c * dim..(c + 1) * dim];
+                let reference =
+                    row.iter().zip(&x).map(|(w, xi)| w * xi).sum::<f32>() + p[classes * dim + c];
+                assert_eq!(
+                    logit.to_bits(),
+                    reference.to_bits(),
+                    "classes={classes} c={c}"
+                );
+            }
+            // A row of only −0.0 products sums to −0.0, as `sum` does.
+            let zero_row = |w: f32| (0..dim).map(|_| w).collect::<Vec<f32>>();
+            let mut q = p.to_vec();
+            q[..dim].copy_from_slice(&zero_row(-0.0));
+            q[classes * dim] = -0.0;
+            m.set_params(&Tensor::from_vec(q));
+            let positive_x: Vec<f32> = x.iter().map(|v| v.abs() + 1.0).collect();
+            assert_eq!(m.logits(&positive_x)[0].to_bits(), (-0.0f32).to_bits());
+        }
+    }
+
+    #[test]
+    fn one_pass_evaluation_matches_the_three_metrics() {
+        let mut rng = SimRng::seed(24);
+        let ds = Dataset::blobs(90, 12, 9, 0.6, &mut rng);
+        let m = SoftmaxClassifier::new(12, 9, &mut rng);
+        for batch in [ds.full_batch(), ds.batch(vec![3, 1, 4]), ds.batch(vec![])] {
+            let (loss, acc, top5) = m.evaluate(&batch);
+            assert_eq!(loss.to_bits(), m.loss(&batch).to_bits());
+            assert_eq!(acc.to_bits(), m.accuracy(&batch).to_bits());
+            assert_eq!(top5.to_bits(), m.top_k_accuracy(&batch, 5).to_bits());
+        }
     }
 
     #[test]
