@@ -13,37 +13,44 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
-# Chaos stress: the fault and chaos suites in release mode across three
-# seeds (RNA_CHAOS_SEED reseeds the scenario without recompiling). Each
-# pass runs under a watchdog so a protocol deadlock fails CI with a
-# timeout instead of hanging it.
-echo "==> chaos stress (3 seeds, --release, watchdogged)"
-for seed in 11 23 37; do
-  echo "    seed ${seed}"
-  RNA_CHAOS_SEED="${seed}" timeout 600 cargo test -q --release \
-    -p rna-experiments --test chaos --test fault_tolerance
-  RNA_CHAOS_SEED="${seed}" timeout 600 cargo test -q --release \
-    -p rna-runtime --test fault_injection
-done
+echo "==> RUSTDOCFLAGS=-D warnings cargo doc --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
 
-# Control-plane stress: controller kills, checkpoint/resume roundtrips,
-# and PS-shard failover across three seeds in release mode, watchdogged
-# like the chaos pass above.
-echo "==> recovery stress (3 seeds, --release, watchdogged)"
-for seed in 11 23 37; do
-  echo "    seed ${seed}"
-  RNA_CHAOS_SEED="${seed}" timeout 600 cargo test -q --release \
-    -p rna-experiments --test recovery
-done
-
-# Elastic-membership stress: mid-run joins, graceful retirements,
-# evictions and the online ζ-split regroup in all three worlds across
-# three seeds in release mode, watchdogged like the chaos pass above.
-echo "==> churn stress (3 seeds, --release, watchdogged)"
-for seed in 11 23 37; do
-  echo "    seed ${seed}"
-  RNA_CHAOS_SEED="${seed}" timeout 600 cargo test -q --release \
-    -p rna-experiments --test churn
+# Seeded stress: each row below runs in release mode once per seed
+# (RNA_CHAOS_SEED reseeds the scenario without recompiling), under a
+# watchdog so a protocol deadlock fails CI with a timeout instead of
+# hanging it. Columns: stanza | extra env | package | test args | timeout.
+#
+# * chaos — the fault, chaos and fault-injection suites.
+# * recovery — controller kills, checkpoint/resume roundtrips and
+#   PS-shard failover.
+# * churn — mid-run joins, graceful retirements, evictions and the online
+#   zeta-split regroup in all three worlds.
+# * compressed-hop — the worker-side wire codec over real sockets, across
+#   two lossy codecs (RNA_HOP_CODEC); every combination must complete its
+#   rounds with frame-exact socket-measured byte totals.
+# * coordinator-kill — coordinator kill + restart-from-disk with worker
+#   reconnects, hostile-handshake rejection, the same-seed counter replay,
+#   and the chaos matrix through the real-socket fault proxy (the seed
+#   reseeds the proxy's plan).
+SEEDED_STRESS=(
+  "chaos||rna-experiments|--test chaos --test fault_tolerance|600"
+  "chaos||rna-runtime|--test fault_injection|600"
+  "recovery||rna-experiments|--test recovery|600"
+  "churn||rna-experiments|--test churn|600"
+  "compressed-hop|RNA_HOP_CODEC=fp16|rna-runtime|--test process_world compressed_hop_smoke|600"
+  "compressed-hop|RNA_HOP_CODEC=int8|rna-runtime|--test process_world compressed_hop_smoke|600"
+  "coordinator-kill||rna-runtime|--test coordinator_death|600"
+)
+echo "==> seeded stress (3 seeds per row, --release, watchdogged)"
+for row in "${SEEDED_STRESS[@]}"; do
+  IFS='|' read -r stanza extra_env package test_args limit <<<"${row}"
+  for seed in 11 23 37; do
+    echo "    ${stanza} seed ${seed} ${extra_env} ${package} ${test_args}"
+    # shellcheck disable=SC2086 # extra_env and test_args split on purpose
+    env RNA_CHAOS_SEED="${seed}" ${extra_env} timeout "${limit}" \
+      cargo test -q --release -p "${package}" ${test_args}
+  done
 done
 
 echo "==> faults bench smoke (watchdogged)"
@@ -108,32 +115,6 @@ timeout 600 cargo run -q --release -p rna-bench --bin hop -- \
 echo "==> process-world smoke (real sockets + SIGKILL, watchdogged)"
 timeout 600 cargo test -q --release -p rna-runtime --test process_world
 timeout 600 cargo test -q --release -p rna-experiments --test three_worlds
-
-# Compressed-hop smoke: the worker-side wire codec over real sockets,
-# reseeded three ways and across two lossy codecs without recompiling.
-# Every combination must complete its rounds with frame-exact
-# socket-measured byte totals.
-echo "==> compressed-hop smoke (3 seeds x 2 codecs, --release, watchdogged)"
-for seed in 11 23 37; do
-  for codec in fp16 int8; do
-    echo "    seed ${seed} codec ${codec}"
-    RNA_CHAOS_SEED="${seed}" RNA_HOP_CODEC="${codec}" timeout 600 \
-      cargo test -q --release -p rna-runtime --test process_world \
-      compressed_hop_smoke
-  done
-done
-
-# Survivability stress: coordinator kill + restart-from-disk with worker
-# reconnects, hostile-handshake rejection, the same-seed counter replay,
-# and the chaos matrix through the real-socket fault proxy, across three
-# seeds in release mode (RNA_CHAOS_SEED reseeds the proxy's plan),
-# watchdogged like the chaos pass above.
-echo "==> coordinator-kill + fault-proxy stress (3 seeds, --release, watchdogged)"
-for seed in 11 23 37; do
-  echo "    seed ${seed}"
-  RNA_CHAOS_SEED="${seed}" timeout 600 cargo test -q --release \
-    -p rna-runtime --test coordinator_death
-done
 
 # Codec property tests in debug mode: roundtrip invariants, error-feedback
 # telescoping, and frame-size models get their debug_assert! coverage.

@@ -30,6 +30,9 @@ pub enum GossipMsg {
     },
 }
 
+/// Atomic-averaging lock overhead charged per gossip session.
+const LOCK_OVERHEAD: SimDuration = SimDuration::from_millis(1);
+
 /// The AD-PSGD protocol.
 ///
 /// # Examples
@@ -44,14 +47,13 @@ pub enum GossipMsg {
 #[derive(Debug)]
 pub struct AdPsgdProtocol {
     free_at: Vec<SimTime>,
-    lock_overhead: SimDuration,
     sessions: u64,
     conflicts: u64,
 }
 
 impl AdPsgdProtocol {
-    /// Creates the protocol for `n` workers with the default 1 ms atomic
-    /// lock overhead per session.
+    /// Creates the protocol for `n` workers, charging a 1 ms atomic lock
+    /// overhead per session.
     ///
     /// # Panics
     ///
@@ -60,16 +62,9 @@ impl AdPsgdProtocol {
         assert!(n >= 2, "AD-PSGD needs at least two workers");
         AdPsgdProtocol {
             free_at: vec![SimTime::ZERO; n],
-            lock_overhead: SimDuration::from_millis(1),
             sessions: 0,
             conflicts: 0,
         }
-    }
-
-    /// Overrides the atomic-averaging lock overhead.
-    pub fn with_lock_overhead(mut self, overhead: SimDuration) -> Self {
-        self.lock_overhead = overhead;
-        self
     }
 
     /// Number of averaging sessions completed.
@@ -119,7 +114,7 @@ impl Protocol for AdPsgdProtocol {
             self.conflicts += 1;
         }
         let transfer = ctx.cost().point_to_point(ctx.grad_bytes());
-        let done = earliest + transfer + self.lock_overhead;
+        let done = earliest + transfer + LOCK_OVERHEAD;
         self.free_at[worker] = done;
         self.free_at[peer] = done;
         ctx.charge_bytes(ctx.grad_bytes() * 2);

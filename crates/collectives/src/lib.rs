@@ -1,7 +1,7 @@
 //! # rna-collectives
 //!
-//! Collective-communication primitives: ring AllReduce, partial AllReduce,
-//! and broadcast.
+//! Collective-communication primitives: ring AllReduce and partial
+//! AllReduce, plus the virtual-time cost of each (broadcast included).
 //!
 //! Two layers live here:
 //!
@@ -14,9 +14,6 @@
 //!   under the α–β link model, including the bandwidth-optimality property
 //!   the paper leans on (per-worker traffic `2(N−1)/N × bytes`, independent
 //!   of N), plus framed variants that charge the per-message codec header.
-//! * **Coded data movement** ([`coded`]) — the ring schedule over encoded
-//!   chunk frames (fp16 / int8-SR / top-k), pipelined within each step and
-//!   byte-accounted against the cost model.
 //!
 //! Partial AllReduce ([`partial::partial_allreduce`]) is the paper's §3
 //! primitive: workers that have no gradient ready contribute a *null*
@@ -26,12 +23,10 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod coded;
 pub mod cost;
 pub mod partial;
 pub mod ring;
 
-pub use coded::{ring_allreduce_coded, CodedRingStats};
 pub use cost::CollectiveCost;
 pub use partial::{partial_allreduce, partial_allreduce_pooled, PartialOutcome};
-pub use ring::{ring_allreduce, ring_allreduce_pooled, ring_broadcast};
+pub use ring::ring_allreduce;

@@ -5,7 +5,7 @@
 //! applied per chunk — so the tests can verify not just the final sum but
 //! the invariant that every worker touched exactly `2(N−1)` chunks.
 
-use rna_tensor::{partition, ReduceOp, Tensor, TensorPool};
+use rna_tensor::{partition, ReduceOp, Tensor};
 
 /// Performs a ring AllReduce over per-worker buffers, in place: after the
 /// call every buffer holds `op` applied across all inputs (for
@@ -39,24 +39,6 @@ use rna_tensor::{partition, ReduceOp, Tensor, TensorPool};
 /// assert_eq!(bufs[1].as_slice(), &[5.0, 7.0, 9.0]);
 /// ```
 pub fn ring_allreduce(buffers: &mut [Tensor], op: ReduceOp) -> u64 {
-    // A cap-0 pool never retains buffers, i.e. plain allocation.
-    let mut pool = TensorPool::with_cap_per_len(0);
-    ring_allreduce_pooled(buffers, op, &mut pool)
-}
-
-/// [`ring_allreduce`] drawing its scratch space from `pool`.
-///
-/// Within one step every worker sends a *distinct* chunk index, so the
-/// outgoing chunks of a whole step occupy disjoint ranges of a full-length
-/// plane. One pooled scratch tensor therefore snapshots all simultaneous
-/// sends, replacing the per-worker-per-step chunk clones of the naive
-/// implementation; receives then reduce (or copy) in place from the scratch
-/// plane. With a warm pool a call performs zero tensor allocations.
-///
-/// # Panics
-///
-/// Panics if `buffers` is empty or the buffers have differing lengths.
-pub fn ring_allreduce_pooled(buffers: &mut [Tensor], op: ReduceOp, pool: &mut TensorPool) -> u64 {
     assert!(
         !buffers.is_empty(),
         "ring allreduce needs at least one buffer"
@@ -71,7 +53,11 @@ pub fn ring_allreduce_pooled(buffers: &mut [Tensor], op: ReduceOp, pool: &mut Te
         return 0;
     }
     let chunks = partition(len, n);
-    let mut scratch = pool.acquire(len);
+    // Within one step every worker sends a *distinct* chunk index, so the
+    // outgoing chunks of a whole step occupy disjoint ranges of one
+    // full-length scratch plane that snapshots all simultaneous sends;
+    // receives then reduce (or copy) in place from it.
+    let mut scratch = Tensor::zeros(len);
     let mut transfers = 0u64;
 
     // Reduce-scatter: N−1 steps.
@@ -125,31 +111,7 @@ pub fn ring_allreduce_pooled(buffers: &mut [Tensor], op: ReduceOp, pool: &mut Te
             b.scale(scale);
         }
     }
-    pool.release(scratch);
     transfers
-}
-
-/// Broadcasts `source`'s buffer to every worker along the ring (pipelined in
-/// `N−1` hops). After the call every buffer equals `buffers[source]`.
-///
-/// # Panics
-///
-/// Panics if `buffers` is empty, lengths differ, or `source` is out of
-/// range.
-pub fn ring_broadcast(buffers: &mut [Tensor], source: usize) {
-    assert!(!buffers.is_empty(), "broadcast needs at least one buffer");
-    assert!(source < buffers.len(), "broadcast source out of range");
-    let len = buffers[source].len();
-    assert!(
-        buffers.iter().all(|b| b.len() == len),
-        "broadcast buffers must have equal lengths"
-    );
-    let src = buffers[source].clone();
-    for (i, b) in buffers.iter_mut().enumerate() {
-        if i != source {
-            b.copy_from(&src);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -237,52 +199,6 @@ mod tests {
         for b in &bufs {
             assert_eq!(b.as_slice(), &[7.0, 9.0, 8.0]);
         }
-    }
-
-    #[test]
-    fn broadcast_copies_source() {
-        let mut bufs = vec![
-            Tensor::from_vec(vec![1.0]),
-            Tensor::from_vec(vec![2.0]),
-            Tensor::from_vec(vec![3.0]),
-        ];
-        ring_broadcast(&mut bufs, 1);
-        for b in &bufs {
-            assert_eq!(b.as_slice(), &[2.0]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn broadcast_rejects_bad_source() {
-        let mut bufs = vec![Tensor::zeros(1)];
-        ring_broadcast(&mut bufs, 1);
-    }
-
-    #[test]
-    fn pooled_ring_matches_unpooled_bit_exactly_and_recycles() {
-        let mut pool = TensorPool::new();
-        for round in 0..3 {
-            let inputs: Vec<Tensor> = (0..6)
-                .map(|i| {
-                    (0..37)
-                        .map(|j| ((round * 103 + i * 17 + j) as f32).cos())
-                        .collect()
-                })
-                .collect();
-            let mut plain = inputs.clone();
-            let mut pooled = inputs;
-            let t0 = ring_allreduce(&mut plain, ReduceOp::Sum);
-            let t1 = ring_allreduce_pooled(&mut pooled, ReduceOp::Sum, &mut pool);
-            assert_eq!(t0, t1);
-            for (a, b) in plain.iter().zip(&pooled) {
-                assert_eq!(a.as_slice(), b.as_slice());
-            }
-        }
-        assert!(
-            pool.hits() >= 2,
-            "scratch plane must be recycled across calls"
-        );
     }
 
     #[test]

@@ -36,18 +36,11 @@ pub struct RnaConfig {
     /// How many iterations a worker may run ahead of the global round
     /// before pausing.
     pub max_lead: u64,
-    /// Probe RPC payload in bytes (probes are "lightweight RPCs").
-    pub probe_bytes: u64,
     /// Route reduce rounds through the fused, buffer-pooled data path
     /// (zero steady-state allocations). `false` replays the naive
     /// allocate-per-round path, kept for bit-identity regression tests —
     /// both paths produce bit-identical results.
     pub pooled: bool,
-    /// Base probe-retry timeout in virtual microseconds: when the fabric
-    /// injects network faults, an election round with no accepted reply
-    /// after this long is re-probed, with exponential backoff per retry.
-    /// On a reliable fabric the retry timers are never armed.
-    pub probe_retry_us: u64,
     /// Gradient wire codec. The default, [`Compression::Lossless`], is
     /// bit-identical (values, bytes and virtual time) to the pre-codec wire
     /// path. Lossy codecs shrink every gradient exchange and carry their
@@ -64,9 +57,7 @@ impl Default for RnaConfig {
             weighted_accumulation: true,
             dynamic_lr_scaling: true,
             max_lead: 8,
-            probe_bytes: 64,
             pooled: true,
-            probe_retry_us: 2_000,
             compression: Compression::Lossless,
         }
     }
@@ -121,17 +112,6 @@ impl RnaConfig {
     /// Enables or disables the pooled zero-allocation data path.
     pub fn with_pooled(mut self, on: bool) -> Self {
         self.pooled = on;
-        self
-    }
-
-    /// Sets the base probe-retry timeout (doubling per retry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `us == 0`.
-    pub fn with_probe_retry_us(mut self, us: u64) -> Self {
-        assert!(us > 0, "probe retry timeout must be positive");
-        self.probe_retry_us = us;
         self
     }
 

@@ -204,22 +204,6 @@ impl HierRnaProtocol {
         self.groups.iter().map(|g| g.members.clone()).collect()
     }
 
-    /// How many master updates group `gid` has missed since its last push
-    /// (0 before the first exchange).
-    pub fn group_staleness(&self, gid: usize) -> u64 {
-        self.server.as_ref().map_or(0, |s| s.staleness(gid))
-    }
-
-    /// PS shard primaries that crashed and degraded to their replica.
-    pub fn ps_failovers(&self) -> u64 {
-        self.server.as_ref().map_or(0, |s| s.failovers())
-    }
-
-    /// Mirror copies the PS refreshed by read-repair.
-    pub fn ps_read_repairs(&self) -> u64 {
-        self.server.as_ref().map_or(0, |s| s.read_repairs())
-    }
-
     /// Fires any planned PS-shard crash scheduled for this group at its
     /// current round: the slot's primary dies and the exchange degrades to
     /// the warm mirror. Each plan entry fires exactly once.
@@ -627,9 +611,8 @@ impl Protocol for HierRnaProtocol {
         // definition and expire here.
         match msg {
             RnaMsg::Probe { group, round } => {
-                let config = &self.config;
                 if let Some(g) = self.groups.get_mut(group) {
-                    g.handle_probe(ctx, config, to, round);
+                    g.handle_probe(ctx, to, round);
                 }
             }
             RnaMsg::ProbeReply {

@@ -35,6 +35,16 @@ use crate::recovery::RoundJournal;
 use crate::sim::{Ctx, Protocol};
 use crate::RnaConfig;
 
+/// Probe RPC payload in bytes, each way (probes are "lightweight RPCs").
+pub const PROBE_BYTES: u64 = 64;
+
+/// Base probe-retry timeout in virtual microseconds: when the fabric
+/// injects network faults, an election round with no accepted reply after
+/// this long is re-probed, with the timeout doubling per retry up to
+/// [`crate::fault::PROBE_BACKOFF_CAP_US`]. On a reliable fabric the retry
+/// timers are never armed.
+pub const PROBE_RETRY_US: u64 = 2_000;
+
 /// Messages exchanged by RNA (both flat and hierarchical variants).
 #[derive(Debug, Clone)]
 pub enum RnaMsg {
@@ -217,7 +227,7 @@ impl GroupState {
     /// Issues this round's probes (power-of-`d`-choices over the group's
     /// *live* members — crashed workers are never probed).
     pub fn start_probe_round(&mut self, ctx: &mut Ctx<'_, RnaMsg>, config: &RnaConfig) {
-        self.retry_backoff_us = config.probe_retry_us;
+        self.retry_backoff_us = PROBE_RETRY_US;
         self.issue_probes(ctx, config);
     }
 
@@ -240,7 +250,7 @@ impl GroupState {
             ctx.send(
                 ctrl,
                 self.members[local],
-                config.probe_bytes,
+                PROBE_BYTES,
                 RnaMsg::Probe {
                     group: self.id,
                     round: self.round,
@@ -321,35 +331,23 @@ impl GroupState {
 
     /// A probe arrived at `worker`: reply immediately if gradients are
     /// ready, otherwise remember the probe.
-    pub fn handle_probe(
-        &mut self,
-        ctx: &mut Ctx<'_, RnaMsg>,
-        config: &RnaConfig,
-        worker: usize,
-        round: u64,
-    ) {
+    pub fn handle_probe(&mut self, ctx: &mut Ctx<'_, RnaMsg>, worker: usize, round: u64) {
         let Some(local) = self.member_index(worker) else {
             return;
         };
         if !self.caches[local].is_empty() {
-            self.send_reply(ctx, config, worker, round);
+            self.send_reply(ctx, worker, round);
         } else {
             self.pending_reply[local] = Some(round);
         }
     }
 
-    fn send_reply(
-        &mut self,
-        ctx: &mut Ctx<'_, RnaMsg>,
-        config: &RnaConfig,
-        worker: usize,
-        round: u64,
-    ) {
+    fn send_reply(&mut self, ctx: &mut Ctx<'_, RnaMsg>, worker: usize, round: u64) {
         let ctrl = ctx.controller_id();
         ctx.send(
             worker,
             ctrl,
-            config.probe_bytes,
+            PROBE_BYTES,
             RnaMsg::ProbeReply {
                 group: self.id,
                 round,
@@ -374,7 +372,7 @@ impl GroupState {
             self.caches[local].write(iter, grad);
         }
         if let Some(round) = self.pending_reply[local].take() {
-            self.send_reply(ctx, config, worker, round);
+            self.send_reply(ctx, worker, round);
         }
         self.maybe_continue(ctx, config, local);
     }
@@ -660,13 +658,6 @@ impl GroupState {
     /// `reducing` stays set, so no new collective can trigger.
     pub fn advance_round_deferred(&mut self, contributors: usize) {
         self.deferred = Some(contributors);
-    }
-
-    /// Completes a previously deferred round (after the PS broadcast).
-    pub fn complete_deferred_round(&mut self, ctx: &mut Ctx<'_, RnaMsg>, config: &RnaConfig) {
-        if let Some(contributors) = self.deferred.take() {
-            self.advance_round(ctx, config, contributors);
-        }
     }
 
     /// Completes the round: bump counters, resume paused members, and (if
@@ -1244,7 +1235,7 @@ impl Protocol for RnaProtocol {
         }
         match msg {
             RnaMsg::Probe { round, .. } => {
-                self.group.handle_probe(ctx, &self.config, to, round);
+                self.group.handle_probe(ctx, to, round);
             }
             RnaMsg::ProbeReply { round, worker, .. } => {
                 self.group.handle_reply(ctx, &self.config, worker, round);

@@ -141,46 +141,6 @@ impl GroupServer {
         self.global.clone()
     }
 
-    /// Push + pull with a *self-weighted* blend: the caller receives
-    /// `self_weight · own + (1 − self_weight) · mean(other groups)`.
-    ///
-    /// `self_weight = 1/num_groups` recovers the plain mean of
-    /// [`GroupServer::push_pull`]. Larger self-weights implement
-    /// elastic-style coupling: a fast group is only mildly attracted
-    /// toward slower groups' stale parameters instead of being averaged
-    /// half-way back to them — the practical tuning the paper's
-    /// "frequency tuning as future work" remark leaves open.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the [`GroupServer::push`] conditions, or if
-    /// `self_weight` is outside `[0, 1]`.
-    pub fn push_pull_weighted(
-        &mut self,
-        group: usize,
-        params: &Tensor,
-        self_weight: f32,
-    ) -> Tensor {
-        assert!(
-            (0.0..=1.0).contains(&self_weight),
-            "self weight must be in [0, 1]"
-        );
-        self.push(group, params);
-        if self.slots.len() == 1 {
-            return params.clone();
-        }
-        let mut others = Tensor::zeros(self.global.len());
-        for (g, slot) in self.slots.iter().enumerate() {
-            if g != group {
-                others.add_assign(slot);
-            }
-        }
-        others.scale(1.0 / (self.slots.len() - 1) as f32);
-        let mut blended = params.clone();
-        blended.lerp(&others, 1.0 - self_weight);
-        blended
-    }
-
     fn recompute_global(&mut self) {
         self.global.fill_zero();
         for slot in &self.slots {

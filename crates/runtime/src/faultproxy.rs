@@ -147,12 +147,6 @@ impl FaultProxy {
         &self.addrs[w]
     }
 
-    /// Total fault events executed so far: frames eaten, mangled,
-    /// truncated-and-severed, or stalled.
-    pub fn faults_injected(&self) -> u64 {
-        self.injected.load(Ordering::Acquire)
-    }
-
     /// Stops the accept loops and returns the final injected-fault count.
     /// In-flight pump threads drain on their own as both endpoints close.
     pub fn shutdown(self) -> u64 {

@@ -3,8 +3,8 @@
 //! [`run_process`] binds an ephemeral localhost port, spawns one
 //! `rna-worker` subprocess per worker, and supervises them over the
 //! length-delimited protocol of [`crate::proto`]. The controller itself is
-//! the same [`crate::transport`] code the threaded world runs — this
-//! module only implements [`Transport`] over sockets: per-connection
+//! the same `transport` controller code the threaded world runs — this
+//! module only implements its `Transport` trait over sockets: per-connection
 //! reader threads feed coordinator-side mirrors (gradient cache, heartbeat
 //! timestamp, iteration count), and parameter/round pushes become framed
 //! TCP writes.
@@ -56,7 +56,7 @@
 //! scheduled round, every socket dies, and a fresh incarnation restarts
 //! from the newest *disk* checkpoint under a bumped term. Workers treat
 //! the dead socket as a socket event, not a death: they re-handshake
-//! under capped exponential backoff ([`crate::run_worker`]) and the
+//! under capped exponential backoff ([`crate::worker::run_worker`]) and the
 //! redone rounds are honestly counted in `failover_rounds_lost`.
 //!
 //! With [`ProcessConfig::with_fault_proxy`], the physical half of the
@@ -238,7 +238,7 @@ pub struct ProcessConfig {
     /// Worker slots the coordinator does *not* spawn a subprocess for:
     /// these workers arrive from outside via the address book (a
     /// pre-spawned `rna-worker`, or a test calling
-    /// [`crate::run_worker`] directly). They are excluded from the
+    /// [`crate::worker::run_worker`] directly). They are excluded from the
     /// initial join barrier and are never respawned.
     pub external: Vec<usize>,
     /// When set, the coordinator writes its address book — the listener

@@ -701,6 +701,9 @@ fn run_bsp(
             }
         }
     }
+    // A degraded round applied nothing, so it counts as zero
+    // participation, exactly as the RNA controller tallies it.
+    let participation = (config.rounds - rounds_degraded) as f64 / config.rounds as f64;
     finish(
         config,
         dataset,
@@ -708,7 +711,7 @@ fn run_bsp(
         master,
         start,
         worker_iterations,
-        1.0,
+        participation,
         worker_fates,
         rounds_degraded,
         deadline_overshoot_us,
@@ -1120,6 +1123,7 @@ mod tests {
         };
         let r = run_threaded(&config);
         assert_eq!(r.rounds_degraded, 3);
+        assert_eq!(r.mean_participation, 0.0, "no round applied an update");
         assert!(
             r.deadline_overshoot_us < 3 * 1_000_000,
             "overshoot {} µs is not plausibly scheduler latency",

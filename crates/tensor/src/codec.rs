@@ -195,11 +195,6 @@ impl Compression {
         matches!(self, Compression::Lossless)
     }
 
-    /// Whether encoding consumes random draws (stochastic rounding).
-    pub fn needs_rng(&self) -> bool {
-        matches!(self, Compression::Int8)
-    }
-
     /// Stable display name for benches and reports.
     pub fn name(&self) -> &'static str {
         match self {

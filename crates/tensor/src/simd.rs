@@ -231,8 +231,9 @@ pub fn int8_round_scalar(quotients: &[f32], out: &mut [u8], draws: &[u32]) {
     }
 }
 
-/// Dequantizes signed bytes back to `f32` (`out[i] = bytes[i] as i8 as f32
-/// * scale`), bit-identical to the scalar loop.
+/// Dequantizes signed bytes back to `f32`
+/// (`out[i] = bytes[i] as i8 as f32 * scale`), bit-identical to the scalar
+/// loop.
 ///
 /// # Panics
 ///

@@ -9,10 +9,11 @@
 //!    (group B slowed by an extra 50–100 ms). Modeled by
 //!    [`HeterogeneityModel`] and [`cluster::ClusterSpec`].
 //! 2. **Inherent load imbalance** — dynamic networks (LSTM over UCF101
-//!    videos, Transformer over WMT17 sentences) whose per-batch compute time
-//!    follows the input length distribution (Figure 2). Modeled by
-//!    [`video::VideoLengthModel`], [`tokens::TokenBatchModel`], and
-//!    [`ComputeTimeModel`].
+//!    videos, Transformer over variable-length sentences) whose per-batch
+//!    compute time follows the input length distribution (Figure 2).
+//!    Modeled by [`video::VideoLengthModel`] and [`ComputeTimeModel`]
+//!    (the Transformer profile's long tail is
+//!    [`ComputeTimeModel::long_tail_ms`]).
 //!
 //! [`profiles::ModelProfile`] ties these together per neural network:
 //! real parameter counts from the paper (which drive communication cost and
@@ -26,7 +27,6 @@ pub mod cluster;
 mod compute;
 mod hetero;
 pub mod profiles;
-pub mod tokens;
 pub mod trace;
 pub mod transfer;
 pub mod video;
